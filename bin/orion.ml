@@ -767,19 +767,6 @@ let serve_cmd =
              parallel socket I/O and frame decoding); 1, the default, is \
              the classic single-threaded reactor.")
   in
-  let lock_partitions =
-    Arg.(
-      value & opt int 0
-      & info [ "lock-partitions" ] ~docv:"N"
-          ~doc:
-            "Partition the lock table into $(docv) slices keyed by composite \
-             root (class granules by storage segment, instance granules by \
-             oid hash), each behind its own mutex with its own \
-             $(i,txsvc.partition{p=K}.*) instruments; deadlock search runs \
-             incrementally per partition, merging only for cross-partition \
-             waits.  0, the default, matches $(b,--domains); 1 is the \
-             pre-partitioning single table.")
-  in
   let group_commit_window =
     Arg.(
       value & opt int 0
@@ -850,7 +837,7 @@ let serve_cmd =
              detectors offline.  Implies $(b,--lockdep).")
   in
   let run db_file wal socket port max_sessions lock_timeout metrics_interval
-      slow_op_ms domains lock_partitions group_commit_window repl replica_of
+      slow_op_ms domains group_commit_window repl replica_of
       ddl_gate lockdep lockdep_trace =
     if lockdep || Option.is_some lockdep_trace then
       Orion_analysis.Lockdep.install ?trace:lockdep_trace ();
@@ -871,7 +858,6 @@ let serve_cmd =
         metrics_interval =
           (if metrics_interval <= 0. then None else Some metrics_interval);
         domains = (if domains < 1 then 1 else domains);
-        lock_partitions = (if lock_partitions < 0 then 0 else lock_partitions);
         group_commit_window =
           (if group_commit_window <= 0 then None
            else Some (float_of_int group_commit_window /. 1_000_000.));
@@ -1090,7 +1076,7 @@ let serve_cmd =
     Term.(
       const run $ db_pos $ wal_flag $ socket $ port $ max_sessions
       $ lock_timeout $ metrics_interval $ slow_op_ms $ domains
-      $ lock_partitions $ group_commit_window $ repl_flag $ replica_of
+      $ group_commit_window $ repl_flag $ replica_of
       $ ddl_gate $ lockdep $ lockdep_trace)
 
 let promote_cmd =
@@ -1323,8 +1309,8 @@ let lockdep_check_cmd =
        ~doc:
          "Replay a recorded lock-event trace through the lock-discipline \
           checker offline: rank inversions, lock-order inversions with \
-          two-site witnesses, recursive locks, merged-search protocol \
-          breaches, no-block classes held across blocking operations.  \
+          two-site witnesses, recursive locks, same-class nesting, \
+          no-block classes held across blocking operations.  \
           Same exit contract as $(b,orion analyze): 2 on errors, 1 on \
           warnings, 0 clean.")
     Term.(const run $ trace $ hierarchy $ sexp)

@@ -21,23 +21,38 @@ type lclass = {
   name : string;
   rank : int;
   no_block : bool;
-  asc_region : string option;
 }
 
 type levent =
   | L_acquire of lclass * int * string
   | L_release of lclass * int
   | L_blocking of string * string
-  | L_region of bool * string
   | L_allow of bool
 
 type held = { h_cls : lclass; h_inst : int; h_site : string }
 
 type tstate = {
   mutable held : held list;  (* innermost first *)
-  mutable regions : string list;
   mutable allow : int;
 }
+
+(* A trace file shared by every process of a run (O_APPEND).  Lines
+   are staged in [buf] and leave in one [write] per flush that ends on
+   a line boundary, so another process's flush lands between whole
+   lines, never inside one — a buffered [out_channel] splits at its
+   own buffer size and tears lines across processes. *)
+type sink = { fd : Unix.file_descr; buf : Buffer.t }
+
+let sink_chunk = 32_768
+
+let flush_sink k =
+  let b = Buffer.to_bytes k.buf in
+  Buffer.clear k.buf;
+  let rec go off =
+    if off < Bytes.length b then
+      go (off + Unix.single_write k.fd b off (Bytes.length b - off))
+  in
+  go 0
 
 type engine = {
   emu : Mutex.t;
@@ -47,7 +62,7 @@ type engine = {
          observation (outer's acquisition site, inner's) *)
   dedup : (string, unit) Hashtbl.t;
   mutable findings_rev : SA.finding list;
-  trace : out_channel option;
+  trace : sink option;
   traced_classes : (string, unit) Hashtbl.t;
   n_edges : int Atomic.t;
   n_violations : int Atomic.t;
@@ -63,7 +78,11 @@ let create_engine ?trace () =
     findings_rev = [];
     trace =
       Option.map
-        (fun f -> open_out_gen [ Open_append; Open_creat ] 0o644 f)
+        (fun f ->
+          {
+            fd = Unix.openfile f [ O_WRONLY; O_APPEND; O_CREAT; O_CLOEXEC ] 0o644;
+            buf = Buffer.create (2 * sink_chunk);
+          })
         trace;
     traced_classes = Hashtbl.create 16;
     n_edges = Atomic.make 0;
@@ -73,7 +92,7 @@ let create_engine ?trace () =
 
 let flush_trace eng =
   Mutex.lock eng.emu;
-  (match eng.trace with Some oc -> flush oc | None -> ());
+  (match eng.trace with Some k -> flush_sink k | None -> ());
   Mutex.unlock eng.emu
 
 let edge_count eng = Atomic.get eng.n_edges
@@ -82,7 +101,7 @@ let state_of eng key =
   match Hashtbl.find_opt eng.threads key with
   | Some st -> st
   | None ->
-      let st = { held = []; regions = []; allow = 0 } in
+      let st = { held = []; allow = 0 } in
       Hashtbl.replace eng.threads key st;
       st
 
@@ -172,52 +191,17 @@ let on_acquire eng st (cls : lclass) inst site =
             Printf.sprintf "%s#%d re-acquired at %s while already held (at %s)"
               cls.name inst site prior.h_site;
         }
-  | _ -> (
-      match cls.asc_region with
-      | Some r when List.mem r st.regions ->
-          let hi =
-            List.fold_left (fun m h -> max m h.h_inst) min_int same
-          in
-          if inst < hi then
-            add_finding eng ~dedup_key:("asc:" ^ cls.name)
-              {
-                SA.severity = SA.Error;
-                code = "merged-search-protocol";
-                cls = cls.name;
-                path = [ cls.name ];
-                detail =
-                  Printf.sprintf
-                    "%s#%d acquired at %s after #%d inside region %s: \
-                     instance order must ascend"
-                    cls.name inst site hi r;
-              }
-      | Some r ->
-          let prior = List.hd same in
-          add_finding eng ~dedup_key:("multi:" ^ cls.name)
-            {
-              SA.severity = SA.Error;
-              code = "merged-search-protocol";
-              cls = cls.name;
-              path = [ cls.name ];
-              detail =
-                Printf.sprintf
-                  ">1 %s instance held outside region %s: #%d (at %s) still \
-                   held while acquiring #%d at %s"
-                  cls.name r prior.h_inst prior.h_site inst site;
-            }
-      | None ->
-          let prior = List.hd same in
-          add_finding eng ~dedup_key:("multi:" ^ cls.name)
-            {
-              SA.severity = SA.Error;
-              code = "same-class-nesting";
-              cls = cls.name;
-              path = [ cls.name ];
-              detail =
-                Printf.sprintf
-                  "%s#%d (at %s) still held while acquiring #%d at %s"
-                  cls.name prior.h_inst prior.h_site inst site;
-            }));
+  | prior :: _ ->
+      add_finding eng ~dedup_key:("multi:" ^ cls.name)
+        {
+          SA.severity = SA.Error;
+          code = "same-class-nesting";
+          cls = cls.name;
+          path = [ cls.name ];
+          detail =
+            Printf.sprintf "%s#%d (at %s) still held while acquiring #%d at %s"
+              cls.name prior.h_inst prior.h_site inst site;
+        });
   List.iter
     (fun h ->
       if cls.rank < h.h_cls.rank then
@@ -269,14 +253,6 @@ let process eng st = function
   | L_acquire (cls, inst, site) -> on_acquire eng st cls inst site
   | L_release (cls, inst) -> on_release st cls inst
   | L_blocking (op, site) -> on_blocking eng st op site
-  | L_region (true, r) -> st.regions <- r :: st.regions
-  | L_region (false, r) ->
-      let rec drop = function
-        | [] -> []
-        | x :: rest when String.equal x r -> rest
-        | x :: rest -> x :: drop rest
-      in
-      st.regions <- drop st.regions
   | L_allow true -> st.allow <- st.allow + 1
   | L_allow false -> st.allow <- max 0 (st.allow - 1)
 
@@ -287,45 +263,40 @@ let lclass_of k =
     name = Omutex.name k;
     rank = Omutex.rank k;
     no_block = Omutex.no_block k;
-    asc_region = Omutex.asc_region k;
   }
 
 let levent_of = function
   | Omutex.Acquire { cls; inst; site } -> L_acquire (lclass_of cls, inst, site)
   | Omutex.Release { cls; inst } -> L_release (lclass_of cls, inst)
   | Omutex.Blocking { op; site } -> L_blocking (op, site)
-  | Omutex.Region_enter r -> L_region (true, r)
-  | Omutex.Region_exit r -> L_region (false, r)
   | Omutex.Allow_enter _ -> L_allow true
   | Omutex.Allow_exit _ -> L_allow false
 
-(* Trace lines.  [C name rank no_block asc_region] headers interleave
+(* Trace lines.  [C name rank no_block] headers interleave
    lazily (emitted before a class's first [A]), so appending several
    processes to one file stays parseable; keys are pid-qualified for
-   the same reason.  No token ever contains a space: class names, ops
-   and regions are dotted/dashed identifiers, sites are "file.ml:N". *)
+   the same reason.  No token ever contains a space: class names and
+   ops are dotted/dashed identifiers, sites are "file.ml:N". *)
 
-let write_trace eng oc key ev =
+let write_trace eng k key ev =
   let ensure_class (c : lclass) =
     if not (Hashtbl.mem eng.traced_classes c.name) then begin
       Hashtbl.replace eng.traced_classes c.name ();
-      Printf.fprintf oc "C %s %d %d %s\n" c.name c.rank
+      Printf.bprintf k.buf "C %s %d %d\n" c.name c.rank
         (if c.no_block then 1 else 0)
-        (match c.asc_region with Some r -> r | None -> "-")
     end
   in
-  match ev with
+  (match ev with
   | L_acquire (c, inst, site) ->
       ensure_class c;
-      Printf.fprintf oc "A %s %s %d %s\n" key c.name inst site
+      Printf.bprintf k.buf "A %s %s %d %s\n" key c.name inst site
   | L_release (c, inst) ->
       ensure_class c;
-      Printf.fprintf oc "R %s %s %d\n" key c.name inst
-  | L_blocking (op, site) -> Printf.fprintf oc "B %s %s %s\n" key op site
-  | L_region (enter, r) ->
-      Printf.fprintf oc "G %s %s %s\n" key (if enter then "+" else "-") r
+      Printf.bprintf k.buf "R %s %s %d\n" key c.name inst
+  | L_blocking (op, site) -> Printf.bprintf k.buf "B %s %s %s\n" key op site
   | L_allow enter ->
-      Printf.fprintf oc "X %s %s\n" key (if enter then "+" else "-")
+      Printf.bprintf k.buf "X %s %s\n" key (if enter then "+" else "-"));
+  if Buffer.length k.buf >= sink_chunk then flush_sink k
 
 let feed eng ~key lev =
   Mutex.lock eng.emu;
@@ -333,7 +304,7 @@ let feed eng ~key lev =
     ~finally:(fun () -> Mutex.unlock eng.emu)
     (fun () ->
       (match eng.trace with
-      | Some oc -> write_trace eng oc key lev
+      | Some k -> write_trace eng k key lev
       | None -> ());
       process eng (state_of eng key) lev)
 
@@ -389,7 +360,7 @@ let install ?trace () =
          findings' — how CI fails a lockdep-enabled suite.  Guarded by
          the idempotence check above, so the hook registers once. *)
       at_exit (fun () ->
-          (match eng.trace with Some oc -> flush oc | None -> ());
+          flush_trace eng;
           let fs = engine_findings eng in
           match exit_code fs with
           | 0 -> ()
@@ -444,23 +415,15 @@ let check_trace path =
            incr lineno;
            let n = !lineno in
            match String.split_on_char ' ' line with
-           | [ "C"; cname; r; nb; reg ] ->
+           | [ "C"; cname; r; nb ] ->
                Hashtbl.replace classes cname
-                 {
-                   name = cname;
-                   rank = int_of n r;
-                   no_block = String.equal nb "1";
-                   asc_region =
-                     (if String.equal reg "-" then None else Some reg);
-                 }
+                 { name = cname; rank = int_of n r; no_block = String.equal nb "1" }
            | [ "A"; key; cname; inst; site ] ->
                feed eng ~key
                  (L_acquire (cls_of n cname, int_of n inst, site))
            | [ "R"; key; cname; inst ] ->
                feed eng ~key (L_release (cls_of n cname, int_of n inst))
            | [ "B"; key; op; site ] -> feed eng ~key (L_blocking (op, site))
-           | [ "G"; key; pm; r ] ->
-               feed eng ~key (L_region (String.equal pm "+", r))
            | [ "X"; key; pm ] -> feed eng ~key (L_allow (String.equal pm "+"))
            | [] | [ "" ] -> ()
            | _ ->

@@ -224,6 +224,58 @@ let test_snapshot_takes_no_locks () =
     = Some (Value.Int 99));
   Tx.end_snapshot manager snap2
 
+(* A snapshot that opens while a 2PL writer is mid-transaction —
+   after it dirtied a leaf and created a new component, before it
+   finished — reads the committed pre-image and does not see the new
+   object; and it keeps reading exactly that whether the writer then
+   commits or aborts. *)
+let test_snapshot_opened_mid_writer ~commit () =
+  let db = fixture () in
+  let manager = Tx.create db in
+  let tx = Tx.begin_tx manager in
+  let node = Tx.create_object manager tx ~cls:"Node" () in
+  let leaf =
+    Tx.create_object manager tx ~cls:"Leaf" ~parents:[ (node, "Kids") ]
+      ~attrs:[ ("Tag", Value.Int 1) ] ()
+  in
+  ignore (Tx.commit manager tx : int list);
+  let writer = Tx.begin_tx manager in
+  ignore
+    (Tx.lock_composite manager writer ~root:node Orion_locking.Protocol.Update
+      : [ `Granted | `Blocked ]);
+  Tx.write_attr manager writer leaf "Tag" (Value.Int 2);
+  let fresh =
+    Tx.create_object manager writer ~cls:"Leaf" ~parents:[ (node, "Kids") ]
+      ~attrs:[ ("Tag", Value.Int 3) ] ()
+  in
+  let snap = Tx.begin_snapshot manager in
+  let view = Tx.snapshot_view snap in
+  let check phase =
+    Alcotest.(check bool) (phase ^ ": pre-image of the leaf") true
+      (Snapshot_read.attr view leaf "Tag" = Some (Value.Int 1));
+    Alcotest.(check bool) (phase ^ ": new object invisible") false
+      (Snapshot_read.exists view fresh);
+    Alcotest.(check (list int))
+      (phase ^ ": components at the begin clock")
+      [ Oid.to_int leaf ]
+      (List.map Oid.to_int (Snapshot_read.components_of view node))
+  in
+  check "writer open";
+  if commit then ignore (Tx.commit manager writer : int list)
+  else ignore (Tx.abort manager writer : int list);
+  check (if commit then "after commit" else "after abort");
+  Tx.end_snapshot manager snap;
+  let after = Tx.begin_snapshot manager in
+  let view = Tx.snapshot_view after in
+  Alcotest.(check bool) "a later snapshot sees the outcome" true
+    (if commit then
+       Snapshot_read.attr view leaf "Tag" = Some (Value.Int 2)
+       && Snapshot_read.exists view fresh
+     else
+       Snapshot_read.attr view leaf "Tag" = Some (Value.Int 1)
+       && not (Snapshot_read.exists view fresh));
+  Tx.end_snapshot manager after
+
 (* Group commit ----------------------------------------------------------------- *)
 
 (* A database wired to an in-memory log whose group committer feeds the
@@ -592,6 +644,10 @@ let () =
           Alcotest.test_case "traversals" `Quick test_snapshot_traversals;
           Alcotest.test_case "zero lock-table traffic" `Quick
             test_snapshot_takes_no_locks;
+          Alcotest.test_case "opened mid-writer: commit" `Quick
+            (test_snapshot_opened_mid_writer ~commit:true);
+          Alcotest.test_case "opened mid-writer: abort" `Quick
+            (test_snapshot_opened_mid_writer ~commit:false);
         ] );
       ( "group commit",
         [

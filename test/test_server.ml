@@ -39,14 +39,6 @@ let test_domains =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
   | None -> 1
 
-(* ORION_TEST_LOCK_PARTITIONS does the same for the partitioned lock
-   table (CI runs 1 and 4): 0, the default, leaves the config's auto
-   value (one partition per domain). *)
-let test_lock_partitions =
-  match Sys.getenv_opt "ORION_TEST_LOCK_PARTITIONS" with
-  | Some s -> ( try max 0 (int_of_string (String.trim s)) with _ -> 0)
-  | None -> 0
-
 (* Run [f addr] against a server serving a fresh env; the server is
    stopped and joined afterwards, and its database handed back for
    post-mortem assertions. *)
@@ -63,14 +55,8 @@ let with_server ?config ?wal ?env f =
   in
   let config =
     let c = Option.value config ~default:Server.default_config in
-    let c =
-      if c.Server.domains = Server.default_config.Server.domains then
-        { c with Server.domains = test_domains }
-      else c
-    in
-    if
-      c.Server.lock_partitions = Server.default_config.Server.lock_partitions
-    then { c with Server.lock_partitions = test_lock_partitions }
+    if c.Server.domains = Server.default_config.Server.domains then
+      { c with Server.domains = test_domains }
     else c
   in
   let server = Server.create ~config ?wal env (Server.Unix_path sock) in

@@ -7,21 +7,7 @@ module D = Orion_schema.Domain
 module Schema = Orion_schema.Schema
 module Protocol = Orion_locking.Protocol
 module Snapshot = Orion_tx.Snapshot
-(* ORION_TEST_LOCK_PARTITIONS=N runs the whole transaction suite over a
-   partitioned lock space (CI exercises 1 and 4); unset keeps the
-   single-table default. *)
-module Tx = struct
-  include Orion_tx.Tx_manager
-
-  let lock_partitions =
-    match Sys.getenv_opt "ORION_TEST_LOCK_PARTITIONS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> 1
-
-  let create ?compat ?escalation_threshold ?wal db =
-    Orion_tx.Tx_manager.create ?compat ?escalation_threshold ?wal
-      ~lock_partitions db
-end
+module Tx = Orion_tx.Tx_manager
 module Scheduler = Orion_tx.Scheduler
 module Part_gen = Orion_workload.Part_gen
 module Trace_gen = Orion_workload.Trace_gen
@@ -295,6 +281,37 @@ let test_deadlock_victim_abort_wakes_survivor () =
   Alcotest.(check bool) "cycle broken" true (Tx.find_deadlock manager = None);
   ignore (Tx.commit manager t1 : int list)
 
+(* The lock-free pre-check the server's shard tick polls before taking
+   the core lock: raised by a blocked acquire, kept up while a found
+   cycle stands, lowered only by a search that comes back clean. *)
+let test_deadlock_check_due () =
+  let db = fixture () in
+  let a = Object_manager.create db ~cls:"Leaf" () in
+  let b = Object_manager.create db ~cls:"Leaf" () in
+  let manager = Tx.create db in
+  let due () = Tx.deadlock_check_due manager in
+  Alcotest.(check bool) "idle: not due" false (due ());
+  let t1 = Tx.begin_tx manager in
+  let t2 = Tx.begin_tx manager in
+  ignore (Tx.lock_instance manager t1 a Protocol.Update : [ `Granted | `Blocked ]);
+  ignore (Tx.lock_instance manager t2 b Protocol.Update : [ `Granted | `Blocked ]);
+  Alcotest.(check bool) "grants alone: not due" false (due ());
+  Alcotest.(check bool) "t1 waits for b" true
+    (Tx.lock_instance manager t1 b Protocol.Update = `Blocked);
+  Alcotest.(check bool) "blocked acquire: due" true (due ());
+  Alcotest.(check bool) "t2 waits for a" true
+    (Tx.lock_instance manager t2 a Protocol.Update = `Blocked);
+  Alcotest.(check bool) "cycle found" true (Tx.find_deadlock manager <> None);
+  Alcotest.(check bool) "unbroken cycle: still due" true (due ());
+  Alcotest.(check bool) "found again" true (Tx.find_deadlock manager <> None);
+  Alcotest.(check bool) "still due after a second search" true (due ());
+  ignore (Tx.abort manager t2 : int list);
+  Alcotest.(check bool) "abort alone does not search" true (due ());
+  Alcotest.(check bool) "clean search" true (Tx.find_deadlock manager = None);
+  Alcotest.(check bool) "victim aborted, clean search: not due" false (due ());
+  ignore (Tx.commit manager t1 : int list);
+  Alcotest.(check bool) "commit keeps it down" false (due ())
+
 let test_lock_escalation () =
   let db = fixture () in
   let leaves = List.init 10 (fun _ -> Object_manager.create db ~cls:"Leaf" ()) in
@@ -545,6 +562,7 @@ let () =
             test_double_abort_is_idempotent;
           Alcotest.test_case "deadlock victim abort wakes survivor" `Quick
             test_deadlock_victim_abort_wakes_survivor;
+          Alcotest.test_case "deadlock_check_due" `Quick test_deadlock_check_due;
           Alcotest.test_case "lock escalation" `Quick test_lock_escalation;
           Alcotest.test_case "escalation counts distinct instances" `Quick
             test_escalation_counts_distinct_instances;
